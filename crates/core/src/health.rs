@@ -301,10 +301,11 @@ impl HipecKernel {
         }
         let object = self.containers[cidx].object;
         let mut resident: Vec<FrameId> = match self.vm.object(object) {
-            Ok(o) => o.resident.values().copied().collect(),
+            Ok(o) => o.resident.frames().collect(),
             Err(_) => return false,
         };
-        // The residency map is a HashMap; sort for replay-stable order.
+        // Frame-id order (not the table's offset order) is the order the
+        // pinned replays sweep these pages in.
         resident.sort_unstable();
         for f in resident {
             let Ok(frame) = self.vm.frames.frame(f) else {

@@ -306,7 +306,7 @@ impl HipecKernel {
 
             // Frame → pmap direction.
             for &(task, vpage) in &frame.mappings {
-                let hit = tasks.get(&task).and_then(|t| t.pmap.get(&vpage)).copied();
+                let hit = tasks.get(&task).and_then(|t| t.translate(vpage));
                 if hit != Some(f) {
                     return Err(format!(
                         "{f} claims a mapping by task {} vpage {vpage} the pmap does not have",
@@ -332,7 +332,7 @@ impl HipecKernel {
 
         // pmap → frame direction.
         for t in self.vm.tasks_iter() {
-            for (&vpage, &f) in &t.pmap {
+            for (vpage, f) in t.pmap.iter() {
                 let frame = frames.frame(f).map_err(|e| e.to_string())?;
                 if !frame.mappings.contains(&(t.id, vpage)) {
                     return Err(format!(
@@ -345,7 +345,7 @@ impl HipecKernel {
 
         // object → frame direction.
         for o in self.vm.objects_iter() {
-            for (&offset, &f) in &o.resident {
+            for (offset, f) in o.resident.iter() {
                 let frame = frames.frame(f).map_err(|e| e.to_string())?;
                 if frame.owner != Some((o.id, hipec_vm::PageOffset(offset))) {
                     return Err(format!(

@@ -523,11 +523,11 @@ impl HipecKernel {
     pub(crate) fn revert_stranded_frames(&mut self, i: usize) {
         let object = self.containers[i].object;
         let mut resident: Vec<FrameId> = match self.vm.object(object) {
-            Ok(o) => o.resident.values().copied().collect(),
+            Ok(o) => o.resident.frames().collect(),
             Err(_) => return,
         };
-        // The residency map is a HashMap; sort so stranded frames re-enter
-        // the global active queue in a replay-stable order.
+        // Frame-id order (not the table's offset order) is the order the
+        // pinned replays put stranded frames back on the active queue in.
         resident.sort_unstable();
         for f in resident {
             let stray = matches!(self.vm.frames.queue_of(f), Ok(None))

@@ -538,9 +538,10 @@ impl Kernel {
             .remove(addr)
             .ok_or(VmError::UnmappedAddress(task, addr))?;
         let object = entry.object;
-        let mut resident: Vec<FrameId> = self.object(object)?.resident.values().copied().collect();
-        // The residency map is a HashMap; sort so the freed frames join the
-        // free queue in a replay-stable order.
+        let mut resident: Vec<FrameId> = self.object(object)?.resident.frames().collect();
+        // Frame-id order, not the table's offset order: this sort is what
+        // fixed the order freed frames join the free queue in, and every
+        // pinned replay depends on it.
         resident.sort_unstable();
         let mut freed = 0;
         for frame in resident {
@@ -818,7 +819,7 @@ impl Kernel {
         let mappings = std::mem::take(&mut self.frames.frame_mut(frame)?.mappings);
         let n = mappings.len() as u64;
         for (task, vpage) in mappings {
-            self.task_mut(task)?.pmap.remove(&vpage);
+            self.task_mut(task)?.pmap.remove(vpage);
         }
         self.charge(self.cost.pmap_remove.saturating_mul(n));
         Ok(())

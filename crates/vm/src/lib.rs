@@ -19,6 +19,7 @@ pub mod lifecycle;
 pub mod map;
 pub mod object;
 pub mod pageout;
+pub mod pagetable;
 pub mod task;
 pub mod trace;
 pub mod types;
@@ -32,6 +33,7 @@ pub use kernel::{
 };
 pub use map::{MapEntry, VmMap};
 pub use object::{Backing, VmObject};
+pub use pagetable::PageTable;
 pub use task::Task;
 pub use trace::{EventRing, TraceRecord, VmEvent};
 pub use types::{

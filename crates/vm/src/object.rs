@@ -6,8 +6,9 @@
 //! *container* to an object (paper §4.1); the container itself lives in
 //! `hipec-core`, the object only records the attachment key.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 
+use crate::pagetable::PageTable;
 use crate::types::{DeviceId, FrameId, ObjectId, PageOffset};
 
 /// How an object's non-resident pages are materialized.
@@ -31,10 +32,10 @@ pub struct VmObject {
     /// True once a swap extent has been allocated (anonymous objects only).
     pub swap_allocated: bool,
     /// Resident pages: object page offset → physical frame.
-    pub resident: HashMap<u64, FrameId>,
+    pub resident: PageTable,
     /// Pages that have been written to backing store at least once
     /// (anonymous objects: a zero-fill is only correct before first pageout).
-    pub paged_out: std::collections::HashSet<u64>,
+    pub paged_out: HashSet<u64>,
     /// HiPEC container attachment key, if this object is under specific
     /// application control.
     pub container: Option<u32>,
@@ -61,8 +62,8 @@ impl VmObject {
             size_pages,
             backing,
             swap_allocated: false,
-            resident: HashMap::new(),
-            paged_out: std::collections::HashSet::new(),
+            resident: PageTable::new(),
+            paged_out: HashSet::new(),
             container: None,
             device: DeviceId(0),
             fault_rate: 0,
@@ -72,7 +73,7 @@ impl VmObject {
 
     /// The frame holding `offset`, if resident.
     pub fn lookup(&self, offset: PageOffset) -> Option<FrameId> {
-        self.resident.get(&offset.0).copied()
+        self.resident.get(offset.0)
     }
 
     /// Marks `offset` resident in `frame`.
@@ -82,7 +83,7 @@ impl VmObject {
 
     /// Removes the residency entry for `offset`, returning its frame.
     pub fn evict(&mut self, offset: PageOffset) -> Option<FrameId> {
-        self.resident.remove(&offset.0)
+        self.resident.remove(offset.0)
     }
 
     /// Number of resident pages.

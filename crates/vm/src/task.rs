@@ -1,13 +1,12 @@
 //! Tasks: an address map plus a software pmap.
 //!
 //! The pmap is the machine-dependent translation layer in Mach; here it is a
-//! hash map from virtual page to frame. Reference/modify bits live on the
-//! frame (see [`crate::frame::FrameTable::touch`]), as Mach keeps them on
-//! `vm_page` via pmap emulation.
-
-use std::collections::HashMap;
+//! [`PageTable`] from virtual page to frame. Reference/modify bits live on
+//! the frame (see [`crate::frame::FrameTable::touch`]), as Mach keeps them
+//! on `vm_page` via pmap emulation.
 
 use crate::map::VmMap;
+use crate::pagetable::PageTable;
 use crate::types::{FrameId, TaskId};
 
 /// One simulated task (process address space).
@@ -18,7 +17,7 @@ pub struct Task {
     /// The task's address map.
     pub map: VmMap,
     /// Installed translations: virtual page → frame.
-    pub pmap: HashMap<u64, FrameId>,
+    pub pmap: PageTable,
 }
 
 impl Task {
@@ -27,13 +26,14 @@ impl Task {
         Task {
             id,
             map: VmMap::new(),
-            pmap: HashMap::new(),
+            pmap: PageTable::new(),
         }
     }
 
     /// Looks up the translation for a virtual page.
+    #[inline]
     pub fn translate(&self, vpage: u64) -> Option<FrameId> {
-        self.pmap.get(&vpage).copied()
+        self.pmap.get(vpage)
     }
 }
 
