@@ -17,7 +17,7 @@
 
 use std::collections::HashMap;
 
-use hipec_vm::{FrameId, QueueId};
+use hipec_vm::{FrameId, QueueId, Stat};
 
 use crate::kernel::HipecKernel;
 use crate::operand::OperandSlot;
@@ -185,7 +185,8 @@ impl HipecKernel {
     /// 1. **Conservation** — every frame is exactly one of: wired, busy
     ///    (in-flight flush), on one queue, owned-and-unqueued (a resident
     ///    page taken off its queue), or parked in a live container's page
-    ///    operand slot. Anything else is a leak.
+    ///    operand slot. Anything else is a leak — and a frame an error path
+    ///    failed to hand back is reported by name (`frame_handback_failed`).
     /// 2. **Busy frames** are unqueued, unmapped, retain their owner (the
     ///    flush completion path derives the backing block from it), and are
     ///    tracked by exactly the in-flight list or the torn-write retry
@@ -212,6 +213,15 @@ impl HipecKernel {
     fn check_invariants_inner(&self) -> Result<(), String> {
         let frames = &self.vm.frames;
         let nframes = frames.len() as u32;
+
+        // A refused error-path hand-back is a frame on no queue; say which
+        // counter saw it before the conservation walk trips over the frame.
+        let handbacks = self.vm.stats.value(Stat::FrameHandbackFailed);
+        if handbacks != 0 {
+            return Err(format!(
+                "frame_handback_failed = {handbacks}: an error path could not return a frame to the free queue"
+            ));
+        }
 
         // Busy-frame tracking: in-flight flushes plus torn-write retries.
         let mut tracked: HashMap<FrameId, &'static str> = HashMap::new();
@@ -548,6 +558,19 @@ mod tests {
         let _leaked = k.vm.take_free_frames(1).expect("available");
         let err = k.check_invariants().expect_err("leak must be caught");
         assert!(err.contains("leaked"), "unexpected report: {err}");
+    }
+
+    #[test]
+    fn audit_names_a_failed_frame_hand_back() {
+        let mut k = small_kernel();
+        k.vm.stats.bump(hipec_vm::Stat::FrameHandbackFailed);
+        let err = k
+            .check_invariants()
+            .expect_err("a lost frame must be caught");
+        assert!(
+            err.contains("frame_handback_failed = 1"),
+            "unexpected report: {err}"
+        );
     }
 
     #[test]

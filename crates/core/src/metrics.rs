@@ -532,6 +532,26 @@ mod tests {
         assert!(d.quarantined);
     }
 
+    #[test]
+    fn a_counter_is_absent_until_registered_and_zero_adds_register_it() {
+        let mut k = HipecKernel::new(hipec_vm::KernelParams::with_pageable_frames(64));
+        let before = k.kernel_stats();
+        assert_eq!(before.get("tier_promotions"), None);
+        assert_eq!(before.get("hits"), None);
+        assert_eq!(before.get("no_such_counter"), None);
+        // A rebalance that moves nothing still counts: `add(_, 0)`.
+        assert_eq!(k.rebalance_tiers(1), (0, 0));
+        let after = k.kernel_stats();
+        assert_eq!(after.get("tier_promotions"), Some(0));
+        assert_eq!(after.get("tier_demotions"), Some(0));
+        assert_eq!(after.get("hits"), None);
+        assert_eq!(after.get("frame_handback_failed"), None);
+        // The substrate's counters arrive name-ordered, as the map holds them.
+        let vm_names: Vec<_> = k.vm.stats.iter().map(|(name, _)| name).collect();
+        assert_eq!(vm_names, ["tier_demotions", "tier_promotions"]);
+        assert!(after.global.keys().is_sorted());
+    }
+
     #[cfg(debug_assertions)]
     #[test]
     fn container_diff_asserts_when_a_counter_went_backwards() {

@@ -9,13 +9,14 @@
 //! [`Kernel::take_free_frames`], …).
 
 use hipec_disk::{DeviceParams, DiskFault, FaultConfig, PagingDevice, PhasedFaultConfig};
-use hipec_sim::stats::{Counter, Histogram};
+use hipec_sim::stats::Histogram;
 use hipec_sim::{CostModel, SimDuration, SimTime, VirtualClock};
 
 use crate::breaker::{BreakerTransition, CircuitBreaker};
 use crate::device::BackingDevice;
 use crate::frame::{FrameTable, QueueId};
 use crate::object::{Backing, VmObject};
+use crate::stats::{Counter, Stat};
 use crate::task::Task;
 use crate::trace::{EventRing, VmEvent, DEFAULT_TRACE_CAPACITY};
 use crate::types::{
@@ -361,7 +362,7 @@ impl Kernel {
         let device = self.devices[di].id;
         match self.devices[di].breaker.record(now, ok) {
             BreakerTransition::Tripped => {
-                self.stats.bump("breaker_trips");
+                self.stats.bump(Stat::BreakerTrips);
                 let ewma_milli = self.devices[di].breaker.ewma_milli();
                 self.emit(VmEvent::BreakerTrip { device, ewma_milli });
             }
@@ -369,7 +370,7 @@ impl Kernel {
                 self.emit(VmEvent::BreakerProbe { device, ok });
             }
             BreakerTransition::Closed => {
-                self.stats.bump("breaker_closes");
+                self.stats.bump(Stat::BreakerCloses);
                 let ewma_milli = self.devices[di].breaker.ewma_milli();
                 self.emit(VmEvent::BreakerClose { device, ewma_milli });
             }
@@ -378,7 +379,7 @@ impl Kernel {
                 // permanent-failure escalation. The escalation itself (the
                 // Dead transition and forced drain) runs at the top of the
                 // next pump, outside the re-issue loops that call here.
-                self.stats.bump("breaker_exhausted");
+                self.stats.bump(Stat::BreakerExhausted);
                 self.devices[di].dead_pending = true;
                 self.emit(VmEvent::BreakerProbe { device, ok: false });
             }
@@ -560,7 +561,7 @@ impl Kernel {
         }
         self.object_mut(object)?.resident.clear();
         self.charge(self.cost.null_syscall);
-        self.stats.add("deallocated_frames", freed);
+        self.stats.add(Stat::DeallocatedFrames, freed);
         Ok(freed)
     }
 
@@ -622,7 +623,7 @@ impl Kernel {
         if let Some(frame) = self.task(task)?.translate(vpage) {
             self.frames.touch(frame, write)?;
             self.charge(self.cost.mem_touch);
-            self.stats.bump("hits");
+            self.stats.bump(Stat::Hits);
             return Ok(AccessOutcome::Done(AccessResult {
                 kind: AccessKind::Hit,
                 io_until: None,
@@ -630,7 +631,7 @@ impl Kernel {
         }
 
         // Fault.
-        self.stats.bump("faults");
+        self.stats.bump(Stat::Faults);
         let fault_start = self.now();
         self.charge(self.cost.fault_base);
         if self.hipec_check_enabled {
@@ -648,7 +649,7 @@ impl Kernel {
             self.pmap_enter(task, vpage, frame)?;
             self.charge(self.cost.pmap_enter);
             self.frames.touch(frame, write)?;
-            self.stats.bump("minor_faults");
+            self.stats.bump(Stat::MinorFaults);
             let latency = self.now().since(fault_start);
             self.fault_latency.record(latency);
             self.emit(VmEvent::Fault {
@@ -683,7 +684,7 @@ impl Kernel {
                 // The device read failed (or the fill aborted) before the
                 // frame was attached to anything: give it back so it cannot
                 // leak off every queue.
-                let _ = self.frames.enqueue_head(self.free_q, frame);
+                self.hand_back(frame);
                 return Err(e);
             }
         };
@@ -754,7 +755,7 @@ impl Kernel {
                 }
                 Err(fault) => {
                     self.breaker_record_read(di, false);
-                    self.stats.bump("read_errors");
+                    self.stats.bump(Stat::ReadErrors);
                     self.emit(VmEvent::ReadError {
                         device,
                         object,
@@ -763,11 +764,11 @@ impl Kernel {
                     return Err(VmError::Device(fault));
                 }
             };
-            self.stats.bump("pageins");
+            self.stats.bump(Stat::Pageins);
             (AccessKind::PageIn, Some(done))
         } else {
             self.charge(self.cost.zero_fill);
-            self.stats.bump("zero_fills");
+            self.stats.bump(Stat::ZeroFills);
             (AccessKind::ZeroFill, None)
         };
         {
@@ -838,13 +839,23 @@ impl Kernel {
                 Err(e) => {
                     // Undo: give back what we took.
                     for f in out {
-                        let _ = self.frames.enqueue_head(self.free_q, f);
+                        self.hand_back(f);
                     }
                     return Err(e);
                 }
             }
         }
         Ok(out)
+    }
+
+    /// Error-path return of a frame that was taken off the free queue and
+    /// never attached to anything. A refused hand-back would leave the frame
+    /// on no queue at all, so it is counted rather than swallowed; the
+    /// invariant audit fails on a non-zero count.
+    fn hand_back(&mut self, frame: FrameId) {
+        if self.frames.enqueue_head(self.free_q, frame).is_err() {
+            self.stats.bump(Stat::FrameHandbackFailed);
+        }
     }
 
     /// Returns a clean, evicted frame to the global free pool.
@@ -974,7 +985,7 @@ impl Kernel {
             self.pump_migration(di, &mut budget);
         }
         if budget.deferred > 0 {
-            self.stats.bump("pump_budget_deferrals");
+            self.stats.bump(Stat::PumpBudgetDeferrals);
             self.emit(VmEvent::PumpDeferred {
                 deferred: budget.deferred,
             });
@@ -1000,7 +1011,7 @@ impl Kernel {
         });
         for (frame, torn, attempts, rehomed_from) in done {
             if torn {
-                self.stats.bump("torn_flushes");
+                self.stats.bump(Stat::TornFlushes);
                 // A torn completion re-homes to the owning object's current
                 // device: after a drain (or a tier migration) the object is
                 // re-bound elsewhere, its extent allocated there, so the
@@ -1021,7 +1032,7 @@ impl Kernel {
                     continue;
                 }
                 let (ri, rehomed_from) = if home != device {
-                    self.stats.bump("retries_rehomed");
+                    self.stats.bump(Stat::RetriesRehomed);
                     (home.0 as usize, Some(device))
                 } else {
                     (di, rehomed_from)
@@ -1053,7 +1064,7 @@ impl Kernel {
             self.frames
                 .enqueue_tail(self.free_q, frame)
                 .expect("flushed frame is unqueued");
-            self.stats.bump("flush_completions");
+            self.stats.bump(Stat::FlushCompletions);
             self.emit(VmEvent::FlushComplete { device, frame });
         }
         // Re-issue torn writes (one attempt per entry per pump; a rejected
@@ -1089,11 +1100,11 @@ impl Kernel {
                         attempts: attempts.saturating_add(1),
                         rehomed_from,
                     });
-                    self.stats.bump("flush_retries");
+                    self.stats.bump(Stat::FlushRetries);
                 }
                 Err(_) => {
                     self.breaker_record_write(di, false);
-                    self.stats.bump("flush_retry_errors");
+                    self.stats.bump(Stat::FlushRetryErrors);
                     self.emit(VmEvent::RetryRejected {
                         device,
                         frame,
@@ -1147,11 +1158,11 @@ impl Kernel {
                             attempts: attempts.saturating_add(1),
                             rehomed_from,
                         });
-                        self.stats.bump("flush_retries");
+                        self.stats.bump(Stat::FlushRetries);
                     }
                     Err(_) => {
                         self.breaker_record_write(di, false);
-                        self.stats.bump("flush_retry_errors");
+                        self.stats.bump(Stat::FlushRetryErrors);
                         self.emit(VmEvent::RetryRejected {
                             device,
                             frame,
@@ -1209,7 +1220,7 @@ impl Kernel {
         self.frames
             .enqueue_tail(self.free_q, frame)
             .expect("abandoned frame is unqueued");
-        self.stats.bump("flush_abandoned");
+        self.stats.bump(Stat::FlushAbandoned);
         self.dead_flushes.push(DeadFlush {
             device,
             frame,
@@ -1569,6 +1580,22 @@ mod tests {
         let before = k.free_count();
         assert!(k.take_free_frames(10_000).is_err());
         assert_eq!(k.free_count(), before, "partial takes are rolled back");
+    }
+
+    #[test]
+    fn a_refused_hand_back_is_counted_not_swallowed() {
+        let mut k = small_kernel();
+        let frame = k.obtain_free_frame().expect("available");
+        k.hand_back(frame);
+        assert_eq!(k.frames.queue_head(k.free_q), Ok(Some(frame)));
+        assert_eq!(
+            k.stats.iter().count(),
+            0,
+            "a clean hand-back counts nothing"
+        );
+        // Handing back a frame that is already queued is refused.
+        k.hand_back(frame);
+        assert_eq!(k.stats.value(Stat::FrameHandbackFailed), 1);
     }
 
     #[test]

@@ -20,6 +20,7 @@ pub mod map;
 pub mod object;
 pub mod pageout;
 pub mod pagetable;
+pub mod stats;
 pub mod task;
 pub mod trace;
 pub mod types;
@@ -34,6 +35,7 @@ pub use kernel::{
 pub use map::{MapEntry, VmMap};
 pub use object::{Backing, VmObject};
 pub use pagetable::PageTable;
+pub use stats::{Counter, Stat};
 pub use task::Task;
 pub use trace::{EventRing, TraceRecord, VmEvent};
 pub use types::{

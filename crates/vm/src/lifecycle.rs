@@ -22,6 +22,7 @@ use std::collections::HashSet;
 use crate::device::{DeviceState, InflightMigration, MigrTag};
 use crate::kernel::{Kernel, PumpBudget, RetryTag};
 use crate::object::Backing;
+use crate::stats::Stat;
 use crate::trace::VmEvent;
 use crate::types::{DeviceId, ObjectId, VmError};
 
@@ -54,7 +55,7 @@ impl Kernel {
             self.devices[di].drain_to = None;
             return Err(e);
         }
-        self.stats.bump("devices_unplugged");
+        self.stats.bump(Stat::DevicesUnplugged);
         self.charge(self.cost.null_syscall);
         // An idle device with nothing to copy completes immediately.
         self.finish_drains();
@@ -104,7 +105,7 @@ impl Kernel {
         let om = self.object_mut(object)?;
         om.device = to;
         om.migrations += 1;
-        self.stats.bump("object_migrations");
+        self.stats.bump(Stat::ObjectMigrations);
         self.emit(VmEvent::ObjectMigrated {
             object,
             from,
@@ -160,8 +161,8 @@ impl Kernel {
         for o in &mut self.objects {
             o.fault_rate = 0;
         }
-        self.stats.add("tier_promotions", promotions);
-        self.stats.add("tier_demotions", demotions);
+        self.stats.add(Stat::TierPromotions, promotions);
+        self.stats.add(Stat::TierDemotions, demotions);
         (promotions, demotions)
     }
 
@@ -232,7 +233,7 @@ impl Kernel {
             cancelled += 1;
         }
         if cancelled > 0 {
-            self.stats.add("migrations_cancelled", cancelled);
+            self.stats.add(Stat::MigrationsCancelled, cancelled);
         }
         let objects = plan.len() as u64;
         let pages: u64 = plan.iter().map(|(_, _, v, _)| v.len() as u64).sum();
@@ -242,7 +243,7 @@ impl Kernel {
             objects,
             pages,
         });
-        self.stats.bump("device_drains");
+        self.stats.bump(Stat::DeviceDrains);
         // Re-bind and queue the copies.
         for (oid, _, offs, _) in plan {
             for off in &offs {
@@ -261,10 +262,10 @@ impl Kernel {
             let om = self.object_mut(oid)?;
             om.device = target;
             om.migrations += 1;
-            self.stats.bump("object_migrations");
+            self.stats.bump(Stat::ObjectMigrations);
             if forced {
-                self.stats.bump("forced_migrations");
-                self.stats.add("forced_migration_pages", n);
+                self.stats.bump(Stat::ForcedMigrations);
+                self.stats.add(Stat::ForcedMigrationPages, n);
             }
             self.emit(VmEvent::ObjectMigrated {
                 object: oid,
@@ -298,7 +299,7 @@ impl Kernel {
                     rehomed_from: Some(dev),
                 },
             );
-            self.stats.bump("retries_rehomed");
+            self.stats.bump(Stat::RetriesRehomed);
         }
         Ok(())
     }
@@ -320,7 +321,7 @@ impl Kernel {
             let device = self.devices[di].id;
             let ewma_milli = self.devices[di].breaker.ewma_milli();
             self.devices[di].state = DeviceState::Dead;
-            self.stats.bump("devices_dead");
+            self.stats.bump(Stat::DevicesDead);
             self.emit(VmEvent::DeviceDead { device, ewma_milli });
             if was == DeviceState::Draining {
                 // The unplug drain is already running; it continues
@@ -332,13 +333,13 @@ impl Kernel {
                     if self.drain_device(di, target, true).is_err() {
                         // The survivor has no room for the extents; the
                         // entry stays Dead with nothing re-bound.
-                        self.stats.bump("drain_failed");
+                        self.stats.bump(Stat::DrainFailed);
                     }
                 }
                 Err(_) => {
                     // The last Active device died: its objects have
                     // nowhere to go and keep faulting against it.
-                    self.stats.bump("dead_without_survivor");
+                    self.stats.bump(Stat::DeadWithoutSurvivor);
                 }
             }
         }
@@ -363,12 +364,12 @@ impl Kernel {
         });
         for m in done {
             if m.torn {
-                self.stats.bump("migration_retries");
+                self.stats.bump(Stat::MigrationRetries);
                 self.devices[di].migr_q.push(m.lba, m.tag);
                 continue;
             }
             self.devices[di].migr_done += 1;
-            self.stats.bump("migrated_pages");
+            self.stats.bump(Stat::MigratedPages);
         }
         let mut still = Vec::new();
         while self.devices[di].breaker.is_closed() {
@@ -395,7 +396,7 @@ impl Kernel {
                 }
                 Err(_) => {
                     self.breaker_record_write(di, false);
-                    self.stats.bump("migration_rejects");
+                    self.stats.bump(Stat::MigrationRejects);
                     still.push((pending.lba, bump_attempts(pending.tag)));
                 }
             }
@@ -426,7 +427,7 @@ impl Kernel {
                     }
                     Err(_) => {
                         self.breaker_record_write(di, false);
-                        self.stats.bump("migration_rejects");
+                        self.stats.bump(Stat::MigrationRejects);
                         // A failed probe pushed the next window out; keep
                         // FCFS order and wait for it.
                         self.devices[di]
@@ -476,9 +477,9 @@ impl Kernel {
             self.devices[di].drained = true;
             if self.devices[di].state == DeviceState::Draining {
                 self.devices[di].state = DeviceState::Removed;
-                self.stats.bump("devices_removed");
+                self.stats.bump(Stat::DevicesRemoved);
             } else {
-                self.stats.bump("devices_dead_drained");
+                self.stats.bump(Stat::DevicesDeadDrained);
             }
             self.emit(VmEvent::DeviceDrained { device: dev });
         }
