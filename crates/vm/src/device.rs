@@ -78,7 +78,10 @@ pub struct BackingDevice {
     pub(crate) disk: PagingDevice,
     pub(crate) backing: BackingStore,
     pub(crate) breaker: CircuitBreaker,
-    pub(crate) inflight: Vec<InflightFlush>,
+    /// Write-backs submitted and not yet reaped. Private with
+    /// `migr_inflight` so every change goes through the methods that keep
+    /// `next_done` true.
+    inflight: Vec<InflightFlush>,
     /// Torn flushes awaiting re-issue (FCFS — retry order is submission
     /// order; tags carry the frame and its spent attempts).
     pub(crate) retry_q: DiskQueue<RetryTag>,
@@ -97,7 +100,11 @@ pub struct BackingDevice {
     /// migrations (FCFS, driven by the pageout pump like the retry queue).
     pub(crate) migr_q: DiskQueue<MigrTag>,
     /// Migration copies submitted to this device and not yet reaped.
-    pub(crate) migr_inflight: Vec<InflightMigration>,
+    migr_inflight: Vec<InflightMigration>,
+    /// Earliest completion instant over both in-flight lists (`None` when
+    /// both are empty): the pump's "is anything due" test and
+    /// [`BackingDevice::next_progress`] read this instead of scanning.
+    next_done: Option<SimTime>,
     /// Migration copies that completed clean on this device.
     pub(crate) migr_done: u64,
     /// Completion latency of demand reads issued to this device. In the
@@ -128,6 +135,7 @@ impl BackingDevice {
             drained: false,
             migr_q: DiskQueue::new(hipec_disk::QueueDiscipline::Fcfs),
             migr_inflight: Vec::new(),
+            next_done: None,
             migr_done: 0,
             lat_read: LatencyHistogram::EMPTY,
             lat_flush: LatencyHistogram::EMPTY,
@@ -229,6 +237,99 @@ impl BackingDevice {
         self.inflight.len() + self.migr_inflight.len()
     }
 
+    /// The write-backs in flight, in submission order.
+    pub(crate) fn inflight(&self) -> &[InflightFlush] {
+        &self.inflight
+    }
+
+    /// The migration copies in flight, in submission order.
+    pub(crate) fn migr_inflight(&self) -> &[InflightMigration] {
+        &self.migr_inflight
+    }
+
+    /// Records a submitted write-back.
+    pub(crate) fn submit_flush(&mut self, flush: InflightFlush) {
+        self.next_done = Some(self.next_done.map_or(flush.done, |d| d.min(flush.done)));
+        self.inflight.push(flush);
+    }
+
+    /// Records a submitted migration copy.
+    pub(crate) fn submit_migration(&mut self, copy: InflightMigration) {
+        self.next_done = Some(self.next_done.map_or(copy.done, |d| d.min(copy.done)));
+        self.migr_inflight.push(copy);
+    }
+
+    /// Moves the write-backs due by `now` into `due`, in submission order.
+    pub(crate) fn reap_flushes(&mut self, now: SimTime, due: &mut Vec<InflightFlush>) {
+        self.inflight.retain(|i| {
+            let ripe = i.done <= now;
+            if ripe {
+                due.push(*i);
+            }
+            !ripe
+        });
+        self.refresh_next_done();
+    }
+
+    /// Moves the migration copies due by `now` into `due`, in submission
+    /// order.
+    pub(crate) fn reap_migrations(&mut self, now: SimTime, due: &mut Vec<InflightMigration>) {
+        self.migr_inflight.retain(|m| {
+            let ripe = m.done <= now;
+            if ripe {
+                due.push(*m);
+            }
+            !ripe
+        });
+        self.refresh_next_done();
+    }
+
+    /// Drops every in-flight migration copy (their target is being
+    /// drained), returning how many there were.
+    pub(crate) fn cancel_migrations(&mut self) -> u64 {
+        let cancelled = self.migr_inflight.len() as u64;
+        self.migr_inflight.clear();
+        self.refresh_next_done();
+        cancelled
+    }
+
+    /// Earliest completion instant of anything in flight on this device
+    /// (write-back or migration copy); `None` when nothing is in flight.
+    pub(crate) fn next_completion(&self) -> Option<SimTime> {
+        self.next_done
+    }
+
+    fn refresh_next_done(&mut self) {
+        self.next_done = self
+            .inflight
+            .iter()
+            .map(|i| i.done)
+            .chain(self.migr_inflight.iter().map(|m| m.done))
+            .min();
+    }
+
+    /// True if a [`crate::Kernel::pump`] at `now` would do anything for this
+    /// entry: reap a due completion, submit (or probe with) a parked retry
+    /// or copy, escalate a pending death, or check an unfinished drain for
+    /// completion. With this false on every entry the pump is a no-op.
+    pub(crate) fn has_pump_work(&self, now: SimTime) -> bool {
+        self.next_done.is_some_and(|done| done <= now)
+            || !self.retry_q.is_empty()
+            || !self.migr_q.is_empty()
+            || self.dead_pending
+            || self.drain_unfinished()
+    }
+
+    /// True while a drain of this entry (hot-unplug, or the forced drain of
+    /// a Dead entry) has started and not yet been seen to complete.
+    pub(crate) fn drain_unfinished(&self) -> bool {
+        match self.state {
+            DeviceState::Draining => true,
+            DeviceState::Dead => self.drain_to.is_some() && !self.drained,
+            DeviceState::Active | DeviceState::Removed => false,
+        }
+    }
+
     /// Deterministic pressure score steering the pump's per-call service
     /// order: higher scores drain first. Combines, in decreasing weight:
     ///
@@ -290,13 +391,7 @@ impl BackingDevice {
     /// window (`now` if the breaker is closed). `None` once every
     /// write-back and migration lifecycle on this device has closed.
     pub(crate) fn next_progress(&self, now: SimTime) -> Option<SimTime> {
-        if let Some(done) = self
-            .inflight
-            .iter()
-            .map(|i| i.done)
-            .chain(self.migr_inflight.iter().map(|m| m.done))
-            .min()
-        {
+        if let Some(done) = self.next_completion() {
             return Some(done);
         }
         if self.retry_q.is_empty() && self.migr_q.is_empty() {
@@ -349,7 +444,7 @@ mod tests {
         let mut d = BackingDevice::new(DeviceId(0), &DeviceParams::default());
         let now = SimTime::from_ns(100);
         let done = SimTime::from_ns(5_000);
-        d.inflight.push(InflightFlush {
+        d.submit_flush(InflightFlush {
             done,
             frame: crate::types::FrameId(1),
             torn: false,
@@ -357,7 +452,11 @@ mod tests {
             rehomed_from: None,
         });
         assert_eq!(d.next_progress(now), Some(done));
-        d.inflight.clear();
+        assert!(!d.has_pump_work(now), "in flight but not due");
+        let mut due = Vec::new();
+        d.reap_flushes(done, &mut due);
+        assert_eq!(due.len(), 1);
+        assert_eq!(d.next_progress(now), None);
         d.retry_q.push(
             hipec_disk::Lba(0),
             RetryTag {
@@ -386,7 +485,7 @@ mod tests {
         assert_eq!(d.migr_pending(), 1);
         let done = SimTime::from_ns(9_000);
         d.migr_q.pop_next(0, |_| 0);
-        d.migr_inflight.push(InflightMigration {
+        d.submit_migration(InflightMigration {
             done,
             torn: false,
             lba: hipec_disk::Lba(3),

@@ -13,7 +13,7 @@ use hipec_sim::stats::Histogram;
 use hipec_sim::{CostModel, SimDuration, SimTime, VirtualClock};
 
 use crate::breaker::{BreakerTransition, CircuitBreaker};
-use crate::device::BackingDevice;
+use crate::device::{BackingDevice, InflightMigration};
 use crate::frame::{FrameTable, QueueId};
 use crate::object::{Backing, VmObject};
 use crate::stats::{Counter, Stat};
@@ -160,16 +160,24 @@ pub struct RetryTag {
     pub rehomed_from: Option<DeviceId>,
 }
 
-/// The submission allowance of one [`Kernel::pump`] call, shared by every
-/// device's full-speed re-issue and migration loops (see
-/// [`Kernel::pump_submit_budget`]). Tracks how many parked submissions the
-/// exhausted budget left waiting, for the deferral stat and trace event.
-pub(crate) struct PumpBudget {
+/// The working state of one [`Kernel::pump`] call that found work: the
+/// submission allowance shared by every device's full-speed re-issue and
+/// migration loops (see [`Kernel::pump_submit_budget`]), and the buffers the
+/// walk fills. The kernel keeps one between calls so that a steady-state
+/// pump reuses their capacity instead of allocating.
+#[derive(Default)]
+pub(crate) struct PumpPass {
     /// Submissions remaining in this pump call.
-    pub(crate) left: u32,
+    pub(crate) budget_left: u32,
     /// Parked entries a submission loop walked away from because the
     /// budget ran out (they stay queued for the next pump call).
     pub(crate) deferred: u64,
+    /// `(pressure, device index)` service order of a multi-device table.
+    order: Vec<(u64, usize)>,
+    /// Write-backs reaped from the device being serviced.
+    flushes: Vec<InflightFlush>,
+    /// Migration copies reaped from the device being serviced.
+    pub(crate) copies: Vec<InflightMigration>,
 }
 
 /// A write-back that exhausted its retry budget: the page's data is lost.
@@ -237,6 +245,12 @@ pub struct Kernel {
     /// extent map, circuit breaker, in-flight list and retry queue.
     pub(crate) devices: Vec<BackingDevice>,
     pub(crate) dead_flushes: Vec<DeadFlush>,
+    /// Buffers of the last non-idle pump, kept for their capacity.
+    pump_pass: PumpPass,
+    /// Test hook: run the full pump walk even when no device has work, so
+    /// the early-out can be checked against the walk it skips.
+    #[cfg(test)]
+    pub(crate) force_full_pump: bool,
     pub(crate) free_target: u64,
     pub(crate) free_min: u64,
     pub(crate) inactive_target: u64,
@@ -276,6 +290,9 @@ impl Kernel {
             tasks: Vec::new(),
             devices,
             dead_flushes: Vec::new(),
+            pump_pass: PumpPass::default(),
+            #[cfg(test)]
+            force_full_pump: false,
             free_target: params.free_target,
             free_min: params.free_min,
             inactive_target: params.inactive_target,
@@ -919,11 +936,7 @@ impl Kernel {
                     available: 0,
                 });
             };
-            let inflight = self
-                .devices
-                .iter()
-                .any(|d| !d.inflight.is_empty() || !d.migr_inflight.is_empty());
-            if !inflight {
+            if self.devices.iter().all(|d| d.next_completion().is_none()) {
                 dry_pumps += 1;
                 if dry_pumps > self.dry_pump_budget() {
                     return Err(VmError::OutOfFrames {
@@ -956,40 +969,62 @@ impl Kernel {
     /// copies queued by drains and tier rebalancing, pending
     /// permanent-failure escalations, and drain-completion detection.
     ///
-    /// Devices are serviced in **pressure order**, not id order: each
-    /// entry's [`BackingDevice::pressure`] score (due completions, ageing
-    /// of the oldest claimable one, in-flight depth, parked backlog) is
-    /// computed against the state at pump entry and the table is walked
-    /// highest-score first, ties broken by ascending id. Combined with the
-    /// per-call [`Kernel::pump_submit_budget`] this removes the
-    /// head-of-line blocking of the old id-order walk: a storming device's
-    /// thousand parked retries can no longer starve a healthy sibling's
-    /// reap inside a single call. The score is a pure function of kernel
-    /// state, so the weighted order — and everything downstream of it —
-    /// is bit-identical across replays.
+    /// **The pump is event-driven.** It returns at once — no allocation, no
+    /// walk — unless some device has work ([`BackingDevice::has_pump_work`]):
+    /// a completion due by now (each entry caches its earliest one, so
+    /// in-flight writes that are not yet due cost one compare), a parked
+    /// retry or migration copy, a pending death, or an unfinished drain.
+    /// With none of those the walk below would touch no state, so skipping
+    /// it is invisible to the clock, the counters and the trace.
+    ///
+    /// When there is work, devices are serviced in **pressure order**, not
+    /// id order: each entry's [`BackingDevice::pressure`] score (due
+    /// completions, ageing of the oldest claimable one, in-flight depth,
+    /// parked backlog) is computed against the state at pump entry and the
+    /// table is walked highest-score first, ties broken by ascending id.
+    /// Combined with the per-call [`Kernel::pump_submit_budget`] this
+    /// removes the head-of-line blocking of the old id-order walk: a
+    /// storming device's thousand parked retries can no longer starve a
+    /// healthy sibling's reap inside a single call. The score is a pure
+    /// function of kernel state, so the weighted order — and everything
+    /// downstream of it — is bit-identical across replays.
     pub fn pump(&mut self) {
         let now = self.clock.now();
-        let mut order: Vec<(u64, usize)> = self
-            .devices
-            .iter()
-            .enumerate()
-            .map(|(di, d)| (d.pressure(now), di))
-            .collect();
-        order.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let mut budget = PumpBudget {
-            left: self.pump_submit_budget,
-            deferred: 0,
-        };
-        for (_, di) in order {
-            self.pump_device(di, &mut budget);
-            self.pump_migration(di, &mut budget);
+        let idle = !self.devices.iter().any(|d| d.has_pump_work(now));
+        #[cfg(test)]
+        let idle = idle && !self.force_full_pump;
+        if idle {
+            return;
         }
-        if budget.deferred > 0 {
+        let mut pass = std::mem::take(&mut self.pump_pass);
+        pass.budget_left = self.pump_submit_budget;
+        pass.deferred = 0;
+        if self.devices.len() == 1 {
+            self.pump_device(0, &mut pass);
+            self.pump_migration(0, &mut pass);
+        } else {
+            let mut order = std::mem::take(&mut pass.order);
+            order.clear();
+            order.extend(
+                self.devices
+                    .iter()
+                    .enumerate()
+                    .map(|(di, d)| (d.pressure(now), di)),
+            );
+            order.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+            for &(_, di) in &order {
+                self.pump_device(di, &mut pass);
+                self.pump_migration(di, &mut pass);
+            }
+            pass.order = order;
+        }
+        if pass.deferred > 0 {
             self.stats.bump(Stat::PumpBudgetDeferrals);
             self.emit(VmEvent::PumpDeferred {
-                deferred: budget.deferred,
+                deferred: pass.deferred,
             });
         }
+        self.pump_pass = pass;
         self.process_dead_pending();
         self.finish_drains();
     }
@@ -997,19 +1032,18 @@ impl Kernel {
     /// Reaps and re-issues on one device-table entry. Each device's
     /// breaker, in-flight window and retry queue are independent, so a
     /// storm on one device never stalls another's drain.
-    fn pump_device(&mut self, di: usize, budget: &mut PumpBudget) {
+    fn pump_device(&mut self, di: usize, pass: &mut PumpPass) {
         let now = self.clock.now();
         let device = self.devices[di].id;
-        let mut done = Vec::new();
-        self.devices[di].inflight.retain(|i| {
-            if i.done <= now {
-                done.push((i.frame, i.torn, i.attempts, i.rehomed_from));
-                false
-            } else {
-                true
-            }
-        });
-        for (frame, torn, attempts, rehomed_from) in done {
+        self.devices[di].reap_flushes(now, &mut pass.flushes);
+        for InflightFlush {
+            frame,
+            torn,
+            attempts,
+            rehomed_from,
+            ..
+        } in pass.flushes.drain(..)
+        {
             if torn {
                 self.stats.bump(Stat::TornFlushes);
                 // A torn completion re-homes to the owning object's current
@@ -1067,21 +1101,25 @@ impl Kernel {
             self.stats.bump(Stat::FlushCompletions);
             self.emit(VmEvent::FlushComplete { device, frame });
         }
-        // Re-issue torn writes (one attempt per entry per pump; a rejected
-        // re-issue goes back on the queue until its budget runs out). While
-        // the breaker is closed this drains the queue up to the pump call's
-        // submission budget; once it trips mid-drain the rest waits for the
-        // degraded path below.
-        let mut still_torn = Vec::new();
-        while self.devices[di].breaker.is_closed() {
-            if !self.devices[di].retry_q.is_empty() && budget.left == 0 {
-                budget.deferred += self.devices[di].retry_q.len() as u64;
+        // Re-issue torn writes: one attempt per parked entry per pump. A
+        // rejected re-issue goes straight back to the FCFS tail — behind
+        // every entry not yet tried, which is why the loop counts those
+        // rather than running the queue dry — until its budget runs out.
+        // While the breaker is closed this drains the queue up to the pump
+        // call's submission budget; once it trips mid-drain the rest waits
+        // for the degraded path below.
+        let mut untried = self.devices[di].retry_q.len();
+        while untried > 0 && self.devices[di].breaker.is_closed() {
+            if pass.budget_left == 0 {
+                pass.deferred += untried as u64;
                 break;
             }
-            let Some(pending) = self.devices[di].retry_q.pop_next(0, |_| 0) else {
-                break;
-            };
-            budget.left -= 1;
+            let pending = self.devices[di]
+                .retry_q
+                .pop_next(0, |_| 0)
+                .expect("untried retries are queued");
+            untried -= 1;
+            pass.budget_left -= 1;
             let RetryTag {
                 frame,
                 attempts,
@@ -1093,7 +1131,7 @@ impl Kernel {
                     self.breaker_record_write(di, !c.torn);
                     #[cfg(feature = "metrics")]
                     self.devices[di].lat_torn_retry.record(c.done.since(now));
-                    self.devices[di].inflight.push(InflightFlush {
+                    self.devices[di].submit_flush(InflightFlush {
                         done: c.done,
                         frame,
                         torn: c.torn,
@@ -1114,20 +1152,17 @@ impl Kernel {
                     if spent >= self.flush_retry_budget && rehomed_from.is_none() {
                         self.abandon_flush(di, frame, spent);
                     } else {
-                        still_torn.push((
+                        self.devices[di].retry_q.push(
                             pending.lba,
                             RetryTag {
                                 frame,
                                 attempts: spent,
                                 rehomed_from,
                             },
-                        ));
+                        );
                     }
                 }
             }
-        }
-        for (lba, tag) in still_torn {
-            self.devices[di].retry_q.push(lba, tag);
         }
         // Degraded re-issue: at most one backoff-gated probe burst per pump,
         // bounded by the breaker's in-flight window. A failed probe goes
@@ -1151,7 +1186,7 @@ impl Kernel {
                         self.breaker_record_write(di, !c.torn);
                         #[cfg(feature = "metrics")]
                         self.devices[di].lat_torn_retry.record(c.done.since(now));
-                        self.devices[di].inflight.push(InflightFlush {
+                        self.devices[di].submit_flush(InflightFlush {
                             done: c.done,
                             frame,
                             torn: c.torn,
@@ -1284,8 +1319,10 @@ impl Kernel {
 
     /// Earliest virtual instant at which pumping makes write-back progress
     /// (for event-driven drivers): the minimum over the per-device
-    /// progress instants — each device's next in-flight completion, or,
-    /// when it only has torn retries parked, its breaker's next probe
+    /// progress instants — each device's next in-flight completion (the
+    /// same cached instant [`Kernel::pump`]'s early-out compares against,
+    /// so a pump at the returned time always finds its work), or, when it
+    /// only has torn retries or copies parked, its breaker's next probe
     /// window (now, if that breaker is closed). `None` only once every
     /// write-back lifecycle on every device has closed.
     pub fn next_flush_completion(&self) -> Option<SimTime> {
@@ -1303,7 +1340,7 @@ impl Kernel {
     pub fn inflight_frames(&self) -> impl Iterator<Item = FrameId> + '_ {
         self.devices
             .iter()
-            .flat_map(|d| d.inflight.iter().map(|i| i.frame))
+            .flat_map(|d| d.inflight().iter().map(|i| i.frame))
     }
 
     /// Frames whose torn flush awaits re-issue, across every device.

@@ -20,6 +20,8 @@ pub mod map;
 pub mod object;
 pub mod pageout;
 pub mod pagetable;
+#[cfg(test)]
+mod pump_tests;
 pub mod stats;
 pub mod task;
 pub mod trace;

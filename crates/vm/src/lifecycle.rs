@@ -20,7 +20,7 @@
 use std::collections::HashSet;
 
 use crate::device::{DeviceState, InflightMigration, MigrTag};
-use crate::kernel::{Kernel, PumpBudget, RetryTag};
+use crate::kernel::{Kernel, PumpPass, RetryTag};
 use crate::object::Backing;
 use crate::stats::Stat;
 use crate::trace::VmEvent;
@@ -197,7 +197,7 @@ impl Kernel {
                 rehoming.insert((o, off.0));
             }
         }
-        for i in &self.devices[di].inflight {
+        for i in self.devices[di].inflight() {
             if i.torn {
                 if let Some((o, off)) = self.frames.frame(i.frame)?.owner {
                     rehoming.insert((o, off.0));
@@ -227,8 +227,7 @@ impl Kernel {
         // Cancel copies queued onto the dying entry: the objects they
         // serve are bound to it, so the plan re-covers their offsets
         // against the new target.
-        let mut cancelled = self.devices[di].migr_inflight.len() as u64;
-        self.devices[di].migr_inflight.clear();
+        let mut cancelled = self.devices[di].cancel_migrations();
         while self.devices[di].migr_q.pop_next(0, |_| 0).is_some() {
             cancelled += 1;
         }
@@ -348,21 +347,14 @@ impl Kernel {
     /// Drives one device's migration queue: reaps due copies (torn ones
     /// re-queue — migration copies are never abandoned), then submits
     /// queued copies while the breaker is closed — up to the pump call's
-    /// shared submission budget — or as gated probes while it is open.
+    /// shared submission budget, one attempt per copy — or as gated probes
+    /// while it is open.
     /// Mirrors the torn-retry pump, so a drain against a tripped survivor
     /// parks and resumes on half-open probes.
-    pub(crate) fn pump_migration(&mut self, di: usize, budget: &mut PumpBudget) {
+    pub(crate) fn pump_migration(&mut self, di: usize, pass: &mut PumpPass) {
         let now = self.clock.now();
-        let mut done = Vec::new();
-        self.devices[di].migr_inflight.retain(|m| {
-            if m.done <= now {
-                done.push(*m);
-                false
-            } else {
-                true
-            }
-        });
-        for m in done {
+        self.devices[di].reap_migrations(now, &mut pass.copies);
+        for m in pass.copies.drain(..) {
             if m.torn {
                 self.stats.bump(Stat::MigrationRetries);
                 self.devices[di].migr_q.push(m.lba, m.tag);
@@ -371,23 +363,27 @@ impl Kernel {
             self.devices[di].migr_done += 1;
             self.stats.bump(Stat::MigratedPages);
         }
-        let mut still = Vec::new();
-        while self.devices[di].breaker.is_closed() {
-            if !self.devices[di].migr_q.is_empty() && budget.left == 0 {
-                budget.deferred += self.devices[di].migr_q.len() as u64;
+        // One attempt per parked copy per pump: a rejected copy goes
+        // straight back to the FCFS tail, behind every copy not yet tried.
+        let mut untried = self.devices[di].migr_q.len();
+        while untried > 0 && self.devices[di].breaker.is_closed() {
+            if pass.budget_left == 0 {
+                pass.deferred += untried as u64;
                 break;
             }
-            let Some(pending) = self.devices[di].migr_q.pop_next(0, |_| 0) else {
-                break;
-            };
-            budget.left -= 1;
+            let pending = self.devices[di]
+                .migr_q
+                .pop_next(0, |_| 0)
+                .expect("untried copies are queued");
+            untried -= 1;
+            pass.budget_left -= 1;
             let now = self.clock.now();
             match self.devices[di].disk.write(pending.lba, now) {
                 Ok(c) => {
                     self.breaker_record_write(di, !c.torn);
                     #[cfg(feature = "metrics")]
                     self.devices[di].lat_flush.record(c.done.since(now));
-                    self.devices[di].migr_inflight.push(InflightMigration {
+                    self.devices[di].submit_migration(InflightMigration {
                         done: c.done,
                         torn: c.torn,
                         lba: pending.lba,
@@ -397,12 +393,11 @@ impl Kernel {
                 Err(_) => {
                     self.breaker_record_write(di, false);
                     self.stats.bump(Stat::MigrationRejects);
-                    still.push((pending.lba, bump_attempts(pending.tag)));
+                    self.devices[di]
+                        .migr_q
+                        .push(pending.lba, bump_attempts(pending.tag));
                 }
             }
-        }
-        for (lba, tag) in still {
-            self.devices[di].migr_q.push(lba, tag);
         }
         if !self.devices[di].breaker.is_closed() {
             while self.devices[di]
@@ -418,7 +413,7 @@ impl Kernel {
                         self.breaker_record_write(di, !c.torn);
                         #[cfg(feature = "metrics")]
                         self.devices[di].lat_flush.record(c.done.since(now));
-                        self.devices[di].migr_inflight.push(InflightMigration {
+                        self.devices[di].submit_migration(InflightMigration {
                             done: c.done,
                             torn: c.torn,
                             lba: pending.lba,
@@ -447,29 +442,22 @@ impl Kernel {
     /// re-homed flush anywhere still traces back to it.
     pub(crate) fn finish_drains(&mut self) {
         for di in 0..self.devices.len() {
-            let draining = match self.devices[di].state {
-                DeviceState::Draining => true,
-                DeviceState::Dead => {
-                    !self.devices[di].drained && self.devices[di].drain_to.is_some()
-                }
-                _ => false,
-            };
-            if !draining {
+            if !self.devices[di].drain_unfinished() {
                 continue;
             }
             let dev = self.devices[di].id;
-            let local_idle = self.devices[di].inflight.is_empty()
+            let local_idle = self.devices[di].inflight().is_empty()
                 && self.devices[di].retry_q.is_empty()
                 && self.devices[di].migr_q.is_empty()
-                && self.devices[di].migr_inflight.is_empty();
+                && self.devices[di].migr_inflight().is_empty();
             if !local_idle {
                 continue;
             }
             let outstanding = self.devices.iter().any(|d| {
                 d.migr_q.iter().any(|p| p.tag.from == dev)
-                    || d.migr_inflight.iter().any(|m| m.tag.from == dev)
+                    || d.migr_inflight().iter().any(|m| m.tag.from == dev)
                     || d.retry_q.iter().any(|p| p.tag.rehomed_from == Some(dev))
-                    || d.inflight.iter().any(|i| i.rehomed_from == Some(dev))
+                    || d.inflight().iter().any(|i| i.rehomed_from == Some(dev))
             });
             if outstanding {
                 continue;

@@ -212,7 +212,7 @@ impl Kernel {
             f.busy = true;
         }
         self.charge(self.cost.flush_handoff);
-        self.devices[di].inflight.push(InflightFlush {
+        self.devices[di].submit_flush(InflightFlush {
             done: completion.done,
             frame,
             torn: completion.torn,
