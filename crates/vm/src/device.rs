@@ -249,39 +249,33 @@ impl BackingDevice {
 
     /// Records a submitted write-back.
     pub(crate) fn submit_flush(&mut self, flush: InflightFlush) {
-        self.next_done = Some(self.next_done.map_or(flush.done, |d| d.min(flush.done)));
+        self.note_submitted(flush.done);
         self.inflight.push(flush);
     }
 
     /// Records a submitted migration copy.
     pub(crate) fn submit_migration(&mut self, copy: InflightMigration) {
-        self.next_done = Some(self.next_done.map_or(copy.done, |d| d.min(copy.done)));
+        self.note_submitted(copy.done);
         self.migr_inflight.push(copy);
+    }
+
+    fn note_submitted(&mut self, done: SimTime) {
+        self.next_done = Some(self.next_done.map_or(done, |d| d.min(done)));
     }
 
     /// Moves the write-backs due by `now` into `due`, in submission order.
     pub(crate) fn reap_flushes(&mut self, now: SimTime, due: &mut Vec<InflightFlush>) {
-        self.inflight.retain(|i| {
-            let ripe = i.done <= now;
-            if ripe {
-                due.push(*i);
-            }
-            !ripe
-        });
-        self.refresh_next_done();
+        if reap(&mut self.inflight, due, |i| i.done <= now) {
+            self.refresh_next_done();
+        }
     }
 
     /// Moves the migration copies due by `now` into `due`, in submission
     /// order.
     pub(crate) fn reap_migrations(&mut self, now: SimTime, due: &mut Vec<InflightMigration>) {
-        self.migr_inflight.retain(|m| {
-            let ripe = m.done <= now;
-            if ripe {
-                due.push(*m);
-            }
-            !ripe
-        });
-        self.refresh_next_done();
+        if reap(&mut self.migr_inflight, due, |m| m.done <= now) {
+            self.refresh_next_done();
+        }
     }
 
     /// Drops every in-flight migration copy (their target is being
@@ -403,6 +397,20 @@ impl BackingDevice {
             self.breaker.next_probe_at().max(now)
         })
     }
+}
+
+/// Moves the `ripe` entries of `list` to the end of `due`, keeping the order
+/// of both; true if any moved.
+fn reap<T: Copy>(list: &mut Vec<T>, due: &mut Vec<T>, ripe: impl Fn(&T) -> bool) -> bool {
+    let before = due.len();
+    list.retain(|entry| {
+        let ripe = ripe(entry);
+        if ripe {
+            due.push(*entry);
+        }
+        !ripe
+    });
+    due.len() != before
 }
 
 #[cfg(test)]

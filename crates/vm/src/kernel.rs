@@ -1003,20 +1003,20 @@ impl Kernel {
             self.pump_device(0, &mut pass);
             self.pump_migration(0, &mut pass);
         } else {
-            let mut order = std::mem::take(&mut pass.order);
-            order.clear();
-            order.extend(
+            pass.order.clear();
+            pass.order.extend(
                 self.devices
                     .iter()
                     .enumerate()
                     .map(|(di, d)| (d.pressure(now), di)),
             );
-            order.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            for &(_, di) in &order {
+            pass.order
+                .sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+            for i in 0..pass.order.len() {
+                let di = pass.order[i].1;
                 self.pump_device(di, &mut pass);
                 self.pump_migration(di, &mut pass);
             }
-            pass.order = order;
         }
         if pass.deferred > 0 {
             self.stats.bump(Stat::PumpBudgetDeferrals);
@@ -1114,10 +1114,9 @@ impl Kernel {
                 pass.deferred += untried as u64;
                 break;
             }
-            let pending = self.devices[di]
-                .retry_q
-                .pop_next(0, |_| 0)
-                .expect("untried retries are queued");
+            let Some(pending) = self.devices[di].retry_q.pop_next(0, |_| 0) else {
+                break;
+            };
             untried -= 1;
             pass.budget_left -= 1;
             let RetryTag {

@@ -371,10 +371,9 @@ impl Kernel {
                 pass.deferred += untried as u64;
                 break;
             }
-            let pending = self.devices[di]
-                .migr_q
-                .pop_next(0, |_| 0)
-                .expect("untried copies are queued");
+            let Some(pending) = self.devices[di].migr_q.pop_next(0, |_| 0) else {
+                break;
+            };
             untried -= 1;
             pass.budget_left -= 1;
             let now = self.clock.now();
