@@ -1,4 +1,5 @@
-//! The per-reference path allocates nothing: a hit is a table index and an
+//! The per-reference path allocates nothing: a hit is a table index (plus, on
+//! a recency queue, an append to a log sized when the frame joined) and an
 //! idle (or in-flight-but-not-due) pump is a compare per device.
 //!
 //! Its own test binary, so the counting allocator sees only this file; the
@@ -90,4 +91,45 @@ fn hits_and_idle_pumps_do_not_allocate() {
     assert_eq!(allocations_during(|| in_flight(&mut k)), 0);
     assert!(k.now() < done, "the flush must still be in flight");
     assert_eq!(k.stats.get("flush_completions"), 0);
+}
+
+#[test]
+fn hits_on_a_recency_queue_do_not_allocate() {
+    let mut p = KernelParams::paper_64mb();
+    p.total_frames = 128;
+    p.wired_frames = 8;
+    let mut k = Kernel::new(p);
+    let t = k.create_task();
+    let (base, _) = k.vm_allocate(t, 64 * PAGE_SIZE).expect("allocate");
+    // An LRU region as `hipec-core` builds one: the resident frames sit on
+    // an auto-recency queue, so every hit is a pending move-to-tail.
+    let lru = k.frames.new_queue(true);
+    for page in 0..64 {
+        let addr = VAddr(base.0 + page * PAGE_SIZE);
+        k.access(t, addr, true).expect("warm");
+        let frame = k.task(t).expect("task").translate(addr.vpage());
+        let frame = frame.expect("mapped");
+        k.frames.remove(frame).expect("off the active queue");
+        k.frames
+            .enqueue_tail(lru, frame)
+            .expect("onto the LRU queue");
+    }
+    // Many times the log's bound (a small multiple of the 64 members), so
+    // it fills and compacts over and over.
+    let hits = |k: &mut Kernel| {
+        for i in 0..16_384u64 {
+            let addr = VAddr(base.0 + (i * i % 61) * PAGE_SIZE);
+            k.access(t, addr, false).expect("resident");
+        }
+    };
+    assert_eq!(allocations_during(|| hits(&mut k)), 0);
+    // The last touches decide the order, and settling them allocates nothing
+    // either.
+    let mut tail = None;
+    assert_eq!(
+        allocations_during(|| tail = k.frames.dequeue_tail(lru).expect("queue")),
+        0
+    );
+    let last = VAddr(base.0 + (16_383 * 16_383 % 61) * PAGE_SIZE);
+    assert_eq!(tail, k.task(t).expect("task").translate(last.vpage()));
 }
