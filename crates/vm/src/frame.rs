@@ -35,20 +35,34 @@ pub struct Frame {
     pub mappings: Vec<(TaskId, u64)>,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+/// "No frame" / "no queue" in a [`Link`] or [`QueueMeta`].
+const NONE: u32 = u32::MAX;
+
+fn frame_at(i: u32) -> Option<FrameId> {
+    (i != NONE).then_some(FrameId(i))
+}
+
+#[derive(Debug, Clone, Copy)]
 struct Link {
-    prev: Option<FrameId>,
-    next: Option<FrameId>,
-    queue: Option<QueueId>,
+    prev: u32,
+    next: u32,
+    queue: u32,
     /// One past the position of this frame's latest entry in
     /// [`FrameTable::pending`]; 0 when it has none.
     mark: u32,
 }
 
+const UNLINKED: Link = Link {
+    prev: NONE,
+    next: NONE,
+    queue: NONE,
+    mark: 0,
+};
+
 #[derive(Debug, Clone)]
 struct QueueMeta {
-    head: Option<FrameId>,
-    tail: Option<FrameId>,
+    head: u32,
+    tail: u32,
     len: u64,
     auto_recency: bool,
 }
@@ -85,7 +99,7 @@ impl FrameTable {
     pub fn new(nframes: u32) -> Self {
         FrameTable {
             frames: (0..nframes).map(|_| Frame::default()).collect(),
-            links: vec![Link::default(); nframes as usize],
+            links: vec![UNLINKED; nframes as usize],
             queues: Vec::new(),
             pending: Vec::new(),
             recency_members: 0,
@@ -111,8 +125,8 @@ impl FrameTable {
     pub fn new_queue(&mut self, auto_recency: bool) -> QueueId {
         let id = QueueId(self.queues.len() as u32);
         self.queues.push(QueueMeta {
-            head: None,
-            tail: None,
+            head: NONE,
+            tail: NONE,
             len: 0,
             auto_recency,
         });
@@ -150,7 +164,8 @@ impl FrameTable {
     /// The queue a frame currently sits on, if any.
     pub fn queue_of(&self, f: FrameId) -> Result<Option<QueueId>, VmError> {
         self.check_frame(f)?;
-        Ok(self.links[f.0 as usize].queue)
+        let q = self.links[f.0 as usize].queue;
+        Ok((q != NONE).then_some(QueueId(q)))
     }
 
     /// Queue length.
@@ -178,16 +193,18 @@ impl FrameTable {
             .pending
             .iter()
             .rev()
-            .find(|f| self.links[f.0 as usize].queue == Some(q));
-        Ok(touched.copied().or(self.queues[q.0 as usize].tail))
+            .find(|f| self.links[f.0 as usize].queue == q.0);
+        Ok(touched
+            .copied()
+            .or(frame_at(self.queues[q.0 as usize].tail)))
     }
 
     /// Appends `f` at the tail of `q`. Fails if `f` is on any queue.
     pub fn enqueue_tail(&mut self, q: QueueId, f: FrameId) -> Result<(), VmError> {
         self.settle();
         self.check_enqueue(q, f)?;
-        self.link_tail(q, f);
-        self.joined(q);
+        self.link_tail(q.0, f.0);
+        self.joined(q.0);
         Ok(())
     }
 
@@ -197,28 +214,28 @@ impl FrameTable {
         self.check_enqueue(q, f)?;
         let meta = &mut self.queues[q.0 as usize];
         let old_head = meta.head;
-        meta.head = Some(f);
-        if meta.tail.is_none() {
-            meta.tail = Some(f);
+        meta.head = f.0;
+        if meta.tail == NONE {
+            meta.tail = f.0;
         }
         meta.len += 1;
         self.links[f.0 as usize] = Link {
-            prev: None,
+            prev: NONE,
             next: old_head,
-            queue: Some(q),
+            queue: q.0,
             mark: 0,
         };
-        if let Some(h) = old_head {
-            self.links[h.0 as usize].prev = Some(f);
+        if old_head != NONE {
+            self.links[old_head as usize].prev = f.0;
         }
-        self.joined(q);
+        self.joined(q.0);
         Ok(())
     }
 
     fn check_enqueue(&self, q: QueueId, f: FrameId) -> Result<(), VmError> {
         self.check_frame(f)?;
         self.check_queue(q)?;
-        if self.links[f.0 as usize].queue.is_some() {
+        if self.links[f.0 as usize].queue != NONE {
             return Err(VmError::FrameAlreadyQueued(f));
         }
         Ok(())
@@ -228,7 +245,7 @@ impl FrameTable {
     pub fn dequeue_head(&mut self, q: QueueId) -> Result<Option<FrameId>, VmError> {
         self.settle();
         self.check_queue(q)?;
-        let head = self.queues[q.0 as usize].head;
+        let head = frame_at(self.queues[q.0 as usize].head);
         if let Some(f) = head {
             self.remove(f)?;
         }
@@ -239,7 +256,7 @@ impl FrameTable {
     pub fn dequeue_tail(&mut self, q: QueueId) -> Result<Option<FrameId>, VmError> {
         self.settle();
         self.check_queue(q)?;
-        let tail = self.queues[q.0 as usize].tail;
+        let tail = frame_at(self.queues[q.0 as usize].tail);
         if let Some(f) = tail {
             self.remove(f)?;
         }
@@ -250,9 +267,12 @@ impl FrameTable {
     pub fn remove(&mut self, f: FrameId) -> Result<(), VmError> {
         self.settle();
         self.check_frame(f)?;
-        let q = (self.links[f.0 as usize].queue).ok_or(VmError::FrameNotQueued(f))?;
-        self.unlink(f);
-        if self.queues[q.0 as usize].auto_recency {
+        let q = self.links[f.0 as usize].queue;
+        if q == NONE {
+            return Err(VmError::FrameNotQueued(f));
+        }
+        self.unlink(f.0);
+        if self.queues[q as usize].auto_recency {
             self.recency_members -= 1;
         }
         Ok(())
@@ -271,17 +291,16 @@ impl FrameTable {
         if write {
             frame.mod_bit = true;
         }
-        if let Some(q) = self.links[f.0 as usize].queue {
-            if self.queues[q.0 as usize].auto_recency {
-                // Always append, even when `f` looks like the tail: with
-                // anything pending, `tail` is stale and settle decides.
-                if self.pending.len() >= self.pending_limit() {
-                    self.compact();
-                }
-                // Within the capacity `joined` reserved: no allocation here.
-                self.pending.push(f);
-                self.links[f.0 as usize].mark = self.pending.len() as u32;
+        let q = self.links[f.0 as usize].queue;
+        if q != NONE && self.queues[q as usize].auto_recency {
+            // Always append, even when `f` looks like the tail: with
+            // anything pending, `tail` is stale and settle decides.
+            if self.pending.len() >= self.pending_limit() {
+                self.compact();
             }
+            // Within the capacity `joined` reserved: no allocation here.
+            self.pending.push(f);
+            self.links[f.0 as usize].mark = self.pending.len() as u32;
         }
         Ok(())
     }
@@ -290,48 +309,46 @@ impl FrameTable {
     pub fn iter_queue(&self, q: QueueId) -> QueueIter<'_> {
         QueueIter {
             table: self,
-            queue: q,
-            next: self.queues.get(q.0 as usize).and_then(|m| m.head),
+            queue: q.0,
+            next: self.queues.get(q.0 as usize).map_or(NONE, |m| m.head),
             log_pos: 0,
         }
     }
 
     // --- Link surgery and the pending-touch log --------------------------
 
-    fn link_tail(&mut self, q: QueueId, f: FrameId) {
-        let meta = &mut self.queues[q.0 as usize];
+    fn link_tail(&mut self, q: u32, f: u32) {
+        let meta = &mut self.queues[q as usize];
         let old_tail = meta.tail;
-        meta.tail = Some(f);
-        if meta.head.is_none() {
-            meta.head = Some(f);
+        meta.tail = f;
+        if meta.head == NONE {
+            meta.head = f;
         }
         meta.len += 1;
-        self.links[f.0 as usize] = Link {
+        self.links[f as usize] = Link {
             prev: old_tail,
-            next: None,
-            queue: Some(q),
+            next: NONE,
+            queue: q,
             mark: 0,
         };
-        if let Some(t) = old_tail {
-            self.links[t.0 as usize].next = Some(f);
+        if old_tail != NONE {
+            self.links[old_tail as usize].next = f;
         }
     }
 
-    /// `f` must be on a queue.
-    fn unlink(&mut self, f: FrameId) {
-        let link = self.links[f.0 as usize];
-        let Some(q) = link.queue else { return };
-        let meta = &mut self.queues[q.0 as usize];
+    fn unlink(&mut self, f: u32) {
+        let link = self.links[f as usize];
+        let meta = &mut self.queues[link.queue as usize];
         meta.len -= 1;
         match link.prev {
-            Some(p) => self.links[p.0 as usize].next = link.next,
-            None => meta.head = link.next,
+            NONE => meta.head = link.next,
+            p => self.links[p as usize].next = link.next,
         }
         match link.next {
-            Some(n) => self.links[n.0 as usize].prev = link.prev,
-            None => self.queues[q.0 as usize].tail = link.prev,
+            NONE => self.queues[link.queue as usize].tail = link.prev,
+            n => self.links[n as usize].prev = link.prev,
         }
-        self.links[f.0 as usize] = Link::default();
+        self.links[f as usize] = UNLINKED;
     }
 
     /// Log length at which `touch` compacts; `Link::mark` holds positions up
@@ -342,8 +359,8 @@ impl FrameTable {
 
     /// A frame joined `q`: if that is a recency queue, make room for its
     /// touches now so the hit path never allocates.
-    fn joined(&mut self, q: QueueId) {
-        if self.queues[q.0 as usize].auto_recency {
+    fn joined(&mut self, q: u32) {
+        if self.queues[q as usize].auto_recency {
             self.recency_members += 1;
             // `pending` is empty here (the caller settled).
             self.pending.reserve(self.pending_limit());
@@ -363,15 +380,14 @@ impl FrameTable {
     #[inline(never)]
     fn settle_pending(&mut self) {
         for i in 0..self.pending.len() {
-            let f = self.pending[i];
-            let link = self.links[f.0 as usize];
-            let Some(q) = link.queue else { continue };
+            let f = self.pending[i].0;
+            let link = self.links[f as usize];
             if link.mark as usize == i + 1 {
-                if self.queues[q.0 as usize].tail == Some(f) {
-                    self.links[f.0 as usize].mark = 0;
+                if self.queues[link.queue as usize].tail == f {
+                    self.links[f as usize].mark = 0;
                 } else {
                     self.unlink(f);
-                    self.link_tail(q, f);
+                    self.link_tail(link.queue, f);
                 }
             }
         }
@@ -398,8 +414,8 @@ impl FrameTable {
 /// Head-to-tail iterator over one queue.
 pub struct QueueIter<'a> {
     table: &'a FrameTable,
-    queue: QueueId,
-    next: Option<FrameId>,
+    queue: u32,
+    next: u32,
     log_pos: usize,
 }
 
@@ -408,18 +424,19 @@ impl Iterator for QueueIter<'_> {
 
     fn next(&mut self) -> Option<FrameId> {
         // Members with no pending touch keep their linked order...
-        while let Some(cur) = self.next {
-            let link = &self.table.links[cur.0 as usize];
+        while self.next != NONE {
+            let cur = self.next;
+            let link = &self.table.links[cur as usize];
             self.next = link.next;
             if link.mark == 0 {
-                return Some(cur);
+                return Some(FrameId(cur));
             }
         }
         // ...then the touched ones follow, by latest touch.
         while let Some(&f) = self.table.pending.get(self.log_pos) {
             self.log_pos += 1;
             let link = &self.table.links[f.0 as usize];
-            if link.queue == Some(self.queue) && link.mark as usize == self.log_pos {
+            if link.queue == self.queue && link.mark as usize == self.log_pos {
                 return Some(f);
             }
         }
