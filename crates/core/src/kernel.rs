@@ -189,23 +189,27 @@ impl HipecKernel {
 
     /// Moves any events the VM layer recorded since the last merge into the
     /// master trace (stamped with their original virtual times).
+    #[inline]
     pub fn sync_trace(&mut self) {
         #[cfg(feature = "trace")]
-        {
-            if self.vm.trace.is_empty() {
-                return;
-            }
-            self.trace_scratch.clear();
-            self.vm.trace.drain_into(&mut self.trace_scratch);
-            // The scratch buffer cannot be borrowed while pushing; swap it
-            // out so this stays allocation-free.
-            let mut scratch = std::mem::take(&mut self.trace_scratch);
-            for rec in &scratch {
-                self.push_master(rec.at, TraceEvent::Vm(rec.event));
-            }
-            scratch.clear();
-            self.trace_scratch = scratch;
+        if !self.vm.trace.is_empty() {
+            self.merge_vm_trace();
         }
+    }
+
+    #[cfg(feature = "trace")]
+    #[inline(never)]
+    fn merge_vm_trace(&mut self) {
+        self.trace_scratch.clear();
+        self.vm.trace.drain_into(&mut self.trace_scratch);
+        // The scratch buffer cannot be borrowed while pushing; swap it
+        // out so this stays allocation-free.
+        let mut scratch = std::mem::take(&mut self.trace_scratch);
+        for rec in &scratch {
+            self.push_master(rec.at, TraceEvent::Vm(rec.event));
+        }
+        scratch.clear();
+        self.trace_scratch = scratch;
     }
 
     /// Turns event recording on or off at run time for both layers.
@@ -463,6 +467,7 @@ impl HipecKernel {
 
     /// Performs one memory access, resolving HiPEC faults via the policy
     /// executor.
+    #[inline]
     pub fn access(
         &mut self,
         task: TaskId,
@@ -471,7 +476,14 @@ impl HipecKernel {
     ) -> Result<AccessResult, HipecError> {
         self.poll_checker();
         let result = match self.vm.access(task, addr, write) {
-            Ok(AccessOutcome::Done(r)) => Ok(r),
+            // The common case returns from here, so a hit costs the two
+            // compares of `poll_checker` and `sync_trace` and is never
+            // repacked into the fault arms' wider result.
+            Ok(AccessOutcome::Done(r)) => {
+                self.sync_trace();
+                self.debug_check();
+                return Ok(r);
+            }
             Ok(AccessOutcome::NeedsPolicy(info)) => self.policy_fault(info),
             Err(e) => Err(e.into()),
         };
@@ -633,6 +645,7 @@ impl HipecKernel {
     }
 
     /// Runs the security checker if its wakeup time has passed.
+    #[inline]
     pub fn poll_checker(&mut self) {
         while self.vm.now() >= self.checker.next_wakeup {
             self.checker_wakeup();
@@ -646,6 +659,7 @@ impl HipecKernel {
 
     /// Convenience: access and, if the access started device I/O, advance
     /// the clock to its completion (single-job drivers).
+    #[inline]
     pub fn access_sync(
         &mut self,
         task: TaskId,
