@@ -533,8 +533,15 @@ impl HipecKernel {
                         // Environmental failure while filling the frame: the
                         // policy's frame goes back to its free queue (it is
                         // still the container's) and the fault is surfaced
-                        // without terminating the application.
-                        let _ = self.vm.frames.enqueue_tail(free_q, frame);
+                        // without terminating the application. A policy that
+                        // queued the frame before returning it keeps it there;
+                        // a frame left on no queue at all is lost, which the
+                        // invariant audit reports from this counter.
+                        if self.vm.frames.enqueue_tail(free_q, frame).is_err()
+                            && self.vm.frames.queue_of(frame)?.is_none()
+                        {
+                            self.vm.stats.bump(Stat::FrameHandbackFailed);
+                        }
                         self.note_strike(cidx);
                         return Err(HipecError::Vm(VmError::Device(d)));
                     }
@@ -866,5 +873,59 @@ impl HipecKernel {
     /// Charges an arbitrary CPU cost (workload compute time).
     pub fn charge(&mut self, d: SimDuration) {
         self.vm.charge(d);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use hipec_disk::FaultConfig;
+    use hipec_vm::{QueueId, PAGE_SIZE};
+
+    use super::*;
+    use crate::command::{build, QueueEnd, NO_OPERAND};
+    use crate::operand::OperandDecl;
+
+    #[test]
+    fn a_policy_frame_that_cannot_be_handed_back_is_counted() {
+        let mut p = KernelParams::paper_64mb();
+        p.total_frames = 64;
+        p.wired_frames = 8;
+        let mut k = HipecKernel::new(p);
+        k.vm.set_fault_plan(FaultConfig {
+            read_error_permille: 1000,
+            ..FaultConfig::quiet(7)
+        });
+        // The policy returns its frame unqueued, so the read failure has to
+        // put it back on the container's free queue.
+        let mut program = PolicyProgram::new();
+        let fq = program.declare(OperandDecl::FreeQueue);
+        let page = program.declare(OperandDecl::Page);
+        program.add_event(
+            "PageFault",
+            vec![build::dequeue(page, fq, QueueEnd::Head), build::ret(page)],
+        );
+        program.add_event("ReclaimFrame", vec![build::ret(NO_OPERAND)]);
+        let task = k.vm.create_task();
+        let (base, _, key) = k
+            .vm_map_hipec(task, 8 * PAGE_SIZE, program, 4)
+            .expect("install");
+        let failed_fault = |k: &mut HipecKernel| {
+            let Ok(AccessOutcome::NeedsPolicy(info)) = k.vm.access(task, base, false) else {
+                panic!("a fault in a HiPEC region");
+            };
+            let err = k.policy_fault(info).expect_err("the read fails");
+            assert!(matches!(err, HipecError::Vm(VmError::Device(_))), "{err}");
+        };
+
+        failed_fault(&mut k);
+        assert_eq!(k.vm.stats.value(Stat::FrameHandbackFailed), 0);
+        k.check_invariants().expect("the frame went back");
+
+        // A free queue that refuses the frame leaves it on no queue.
+        k.containers[key.0 as usize].free_q = QueueId(u32::MAX);
+        failed_fault(&mut k);
+        assert_eq!(k.vm.stats.value(Stat::FrameHandbackFailed), 1);
+        let audit = k.check_invariants().expect_err("a frame was lost");
+        assert!(audit.contains("frame_handback_failed = 1"), "{audit}");
     }
 }
