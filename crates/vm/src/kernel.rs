@@ -834,10 +834,13 @@ impl Kernel {
 
     /// Removes all pmap translations of `frame` (charging per mapping).
     pub fn unmap_frame(&mut self, frame: FrameId) -> Result<(), VmError> {
-        let mappings = std::mem::take(&mut self.frames.frame_mut(frame)?.mappings);
+        // Drained in place: the list keeps its capacity for the frame's next
+        // `pmap_enter`, so an evict → refill cycle frees and mallocs nothing.
+        let mappings = &mut self.frames.frame_mut(frame)?.mappings;
         let n = mappings.len() as u64;
-        for (task, vpage) in mappings {
-            self.task_mut(task)?.pmap.remove(vpage);
+        for (task, vpage) in mappings.drain(..) {
+            let task = (self.tasks.get_mut(task.0 as usize)).ok_or(VmError::NoSuchTask(task))?;
+            task.pmap.remove(vpage);
         }
         self.charge(self.cost.pmap_remove.saturating_mul(n));
         Ok(())
@@ -1647,6 +1650,36 @@ mod tests {
             .expect("mapped");
         assert_eq!(k.return_frame(frame), Err(VmError::DirtyFrameFreed(frame)));
         assert_eq!(k.evict_frame(frame), Err(VmError::DirtyFrameFreed(frame)));
+    }
+
+    #[test]
+    fn a_frames_mapping_list_keeps_its_capacity_across_evict_and_refill() {
+        let mut k = small_kernel();
+        let t = k.create_task();
+        let (a, _) = k.vm_allocate(t, 2 * PAGE_SIZE).expect("allocate");
+        k.access(t, a, false).expect("fault");
+        let frame = k
+            .task(t)
+            .expect("task")
+            .translate(a.vpage())
+            .expect("mapped");
+        let capacity = k.frames.frame(frame).expect("frame").mappings.capacity();
+        assert!(capacity > 0);
+        k.evict_frame(frame).expect("clean");
+        let mappings = &k.frames.frame(frame).expect("frame").mappings;
+        assert!(mappings.is_empty());
+        assert_eq!(mappings.capacity(), capacity, "kept for the next mapping");
+        assert_eq!(k.task(t).expect("task").translate(a.vpage()), None);
+        // The same frame, refilled for another page, reuses the list.
+        k.frames.remove(frame).expect("off the active queue");
+        k.frames
+            .enqueue_head(k.free_q, frame)
+            .expect("next to be taken");
+        let b = VAddr(a.0 + PAGE_SIZE);
+        k.access(t, b, false).expect("fault");
+        assert_eq!(k.task(t).expect("task").translate(b.vpage()), Some(frame));
+        let mappings = &k.frames.frame(frame).expect("frame").mappings;
+        assert_eq!((mappings.len(), mappings.capacity()), (1, capacity));
     }
 
     #[test]
