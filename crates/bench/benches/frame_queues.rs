@@ -30,11 +30,30 @@ fn bench_queues(c: &mut Criterion) {
             t.enqueue_tail(q, FrameId(i)).expect("enqueue");
         }
         b.iter(|| {
-            // Touch in a stride pattern: every touch is a mid-queue remove
-            // plus a tail enqueue.
+            // Touch in a stride pattern. A touch only logs the move-to-tail
+            // (and compacts the log when it fills); nothing here relinks.
             for i in (0..N).step_by(7) {
                 t.touch(FrameId(i), false).expect("touch");
             }
+        })
+    });
+
+    group.throughput(Throughput::Elements(N as u64));
+    group.bench_function("touch_then_observe", |b| {
+        let mut t = FrameTable::new(N);
+        let q = t.new_queue(true);
+        for i in 0..N {
+            t.enqueue_tail(q, FrameId(i)).expect("enqueue");
+        }
+        b.iter(|| {
+            // N strided touches with their cost settled inside the timed
+            // region: the dequeue replays every logged move-to-tail (a
+            // mid-queue remove plus a tail enqueue each) before it looks.
+            for i in 0..N {
+                t.touch(FrameId(i * 7 % N), false).expect("touch");
+            }
+            let lru = t.dequeue_head(q).expect("queue").expect("non-empty");
+            t.enqueue_tail(q, lru).expect("enqueue");
         })
     });
 

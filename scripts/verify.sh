@@ -224,19 +224,23 @@ print(f"   v7 tenants OK: free p99 {rows['free']['p99_fault_ns']} ns"
       f" > healthy worst {healthy_worst} ns (bound {bound} ns)")
 PY
 
-echo "== benchmark: the package's own gate, and a 2-second hot_hits smoke =="
+echo "== benchmark: the package's own gate, and 2-second hot_hits and policy_faults smokes =="
 # check.sh is fmt + clippy + the benchmark's tests at 1/100 scale. The
-# smoke is the outside driver's form of the command (BENCHMARK.json): it
+# smokes are the outside driver's form of the command (BENCHMARK.json): each
 # must build from this checkout, replay to one digest, pass its output
-# checks and say so on its result line.
+# checks and say so on its result line. hot_hits is the all-hit path;
+# policy_faults has the faulting LRU/MRU/2Q cells, where a recency queue
+# settled wrongly shows as a changed victim.
 ./benchmark/check.sh
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-  --workload hot_hits --seed 17 --seconds 2 --trace 0 >"$SOAK_DIR/smoke.txt"
-if ! tail -n 1 "$SOAK_DIR/smoke.txt" | grep -q '"correct":true'; then
-  echo "error: the benchmark's hot_hits smoke did not report \"correct\":true" >&2
-  tail -n 1 "$SOAK_DIR/smoke.txt" >&2
-  exit 1
-fi
-echo "   $(grep '^accesses_per_s ' "$SOAK_DIR/smoke.txt")"
+for workload in hot_hits policy_faults; do
+  cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload "$workload" --seed 17 --seconds 2 --trace 0 >"$SOAK_DIR/smoke.txt"
+  if ! tail -n 1 "$SOAK_DIR/smoke.txt" | grep -q '"correct":true'; then
+    echo "error: the benchmark's $workload smoke did not report \"correct\":true" >&2
+    tail -n 1 "$SOAK_DIR/smoke.txt" >&2
+    exit 1
+  fi
+  echo "   $workload $(grep '^accesses_per_s ' "$SOAK_DIR/smoke.txt")"
+done
 
 echo "verify: OK"
