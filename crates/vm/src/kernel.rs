@@ -839,7 +839,10 @@ impl Kernel {
         let mappings = &mut self.frames.frame_mut(frame)?.mappings;
         let n = mappings.len() as u64;
         for (task, vpage) in mappings.drain(..) {
-            let task = (self.tasks.get_mut(task.0 as usize)).ok_or(VmError::NoSuchTask(task))?;
+            // `task_mut` would borrow all of `self` over the drain.
+            let Some(task) = self.tasks.get_mut(task.0 as usize) else {
+                return Err(VmError::NoSuchTask(task));
+            };
             task.pmap.remove(vpage);
         }
         self.charge(self.cost.pmap_remove.saturating_mul(n));
